@@ -1442,7 +1442,7 @@ pub fn e15(opts: &ExpOpts, log: &mut JsonLog) -> String {
         let total = accepted + shed;
         let goodput = accepted as f64 / elapsed.as_secs_f64();
         let shed_rate = shed as f64 / total.max(1) as f64;
-        let p99 = hist.value_at_percentile(99.0).unwrap_or(0);
+        let p99 = hist.value_at_percentile(0.99).unwrap_or(0);
         out.push_str(&format!(
             "| {} | {mult}× | {} | {:.2} | {:.1}% | {} |\n",
             fmt_tput(rate),

@@ -136,6 +136,8 @@ pub struct BatchedMeasurement {
     pub p50_ns: u64,
     /// 99th-percentile per-batch call latency in nanoseconds.
     pub p99_ns: u64,
+    /// Slowest batch call in nanoseconds.
+    pub max_ns: u64,
 }
 
 /// Run the timed batched workload; returns counts, descent telemetry
@@ -237,8 +239,9 @@ pub fn run_batched_throughput<M: ConcurrentMap>(
         root_descents: report.root_descents,
         ops_per_descent: report.ops_per_descent(),
         ops_per_sec: rate,
-        p50_ns: hist.value_at_percentile(50.0).unwrap_or(0),
-        p99_ns: hist.value_at_percentile(99.0).unwrap_or(0),
+        p50_ns: hist.value_at_percentile(0.50).unwrap_or(0),
+        p99_ns: hist.value_at_percentile(0.99).unwrap_or(0),
+        max_ns: hist.max(),
     })
 }
 
@@ -247,6 +250,7 @@ mod tests {
     use super::*;
     use crate::Caps;
     use std::collections::BTreeMap;
+    use std::sync::atomic::AtomicU64;
     use std::sync::Mutex;
 
     struct LockedMap(Mutex<BTreeMap<u64, u64>>);
@@ -329,6 +333,82 @@ mod tests {
         assert!(meas.ops_per_sec > 0.0);
         assert!(meas.p99_ns >= meas.p50_ns);
         assert!(meas.p50_ns > 0);
+    }
+
+    /// Every tenth batch call sleeps 1 ms; the rest return at once. The
+    /// latency distribution is deliberately spread so the reported
+    /// quantiles must differ.
+    struct SpreadMap(AtomicU64);
+    struct SpreadSession<'a>(&'a SpreadMap);
+
+    impl MapSession for SpreadSession<'_> {
+        fn insert(&mut self, _: u64, _: u64) -> bool {
+            true
+        }
+        fn upsert(&mut self, _: u64, _: u64) -> Option<u64> {
+            None
+        }
+        fn delete(&mut self, _: &u64) -> bool {
+            true
+        }
+        fn get(&mut self, _: &u64) -> Option<u64> {
+            None
+        }
+        fn range_scan(&mut self, _: &u64, _: &u64) -> usize {
+            0
+        }
+        fn apply_batch(&mut self, ops: &[BatchOp]) -> BatchReport {
+            if self.0 .0.fetch_add(1, Ordering::Relaxed).is_multiple_of(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            BatchReport {
+                ops: ops.len() as u64,
+                root_descents: ops.len() as u64,
+            }
+        }
+    }
+
+    impl ConcurrentMap for SpreadMap {
+        type Session<'a> = SpreadSession<'a>;
+        fn pin(&self) -> SpreadSession<'_> {
+            SpreadSession(self)
+        }
+        fn capabilities(&self) -> Caps {
+            Caps {
+                range_scan: false,
+                upsert: true,
+                snapshot: false,
+                batched: true,
+            }
+        }
+        fn name(&self) -> &'static str {
+            "spread"
+        }
+    }
+
+    #[test]
+    fn batched_driver_quantiles_separate_on_spread_latencies() {
+        // 90% of calls are near-instant and 10% take ≥ 1 ms, so the
+        // median is fast and the p99 is slow. A percent passed where a
+        // fraction belongs would report the max for both.
+        let m = SpreadMap(AtomicU64::new(0));
+        let cfg = BatchedRunConfig::new(
+            1,
+            Duration::from_millis(100),
+            KeyDist::uniform(1_000),
+            Mix::update_only(),
+            4,
+        );
+        let meas = run_batched_throughput(&m, &cfg).expect("range-free update mix");
+        assert!(
+            meas.p50_ns < meas.p99_ns && meas.p99_ns <= meas.max_ns,
+            "p50 {} p99 {} max {}",
+            meas.p50_ns,
+            meas.p99_ns,
+            meas.max_ns
+        );
+        assert!(meas.p50_ns < 1_000_000, "median call must be fast");
+        assert!(meas.p99_ns >= 1_000_000, "p99 must land on a slow call");
     }
 
     #[test]

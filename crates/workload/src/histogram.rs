@@ -198,11 +198,20 @@ impl HdrHistogram {
     /// `⌈q·total⌉`-th smallest sample, capped at the recorded maximum —
     /// so the result is never below the true quantile and overshoots it
     /// by at most 1/64 (~1.6%).
+    ///
+    /// # Panics
+    ///
+    /// If `q` is outside `[0, 1]` (or NaN). A percent such as `99.0`
+    /// is a caller bug: clamping it would silently report the maximum.
     pub fn value_at_percentile(&self, q: f64) -> Option<u64> {
+        assert!(
+            (0.0..=1.0).contains(&q),
+            "quantile {q} outside [0, 1] (pass 0.99, not 99.0)"
+        );
         if self.total == 0 {
             return None;
         }
-        let rank = ((self.total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
+        let rank = ((self.total as f64) * q).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         for (idx, &c) in self.counts.iter().enumerate() {
             seen += c;
@@ -325,6 +334,14 @@ mod tests {
         assert_eq!(h.value_at_percentile(1.0), Some(127));
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 127);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 1]")]
+    fn percent_instead_of_fraction_panics() {
+        let mut h = HdrHistogram::new();
+        h.record(1);
+        h.value_at_percentile(99.0);
     }
 
     #[test]
