@@ -1,4 +1,5 @@
-//! Per-thread, epoch-integrated slab pools for the hot-path allocations.
+//! Per-thread, epoch-integrated pools over shared slabs for the
+//! hot-path allocations.
 //!
 //! The paper assumes a garbage-collected runtime, so its pseudocode
 //! freely allocates one `Info` plus one-to-three `Node`s per update
@@ -16,40 +17,54 @@
 //! it. Because ripe garbage lands in bursts on whichever thread ran
 //! the collection pass, each class also has a lock-free **global
 //! spillover stack** of block chunks: overflowing locals push surplus
-//! there, and a thread whose local list runs dry pulls a chunk back
-//! before falling through to the global allocator. After warm-up, a
-//! steady-state update loop allocates from and recycles into pools
-//! only; the global allocator remains the fallback for genuinely cold
-//! pools.
+//! there, and a thread whose local list runs dry pulls a chunk back.
+//! After warm-up, a steady-state update loop allocates from and
+//! recycles into pools only.
+//!
+//! # Where fresh blocks come from
+//!
+//! A class whose pools are empty does not call the global allocator
+//! per block. It **carves** blocks out of a per-class *slab* shared by
+//! all threads, [`CARVE_RUN`] blocks per claim of a short spin lock, so
+//! blocks are packed `size_of::<T>()` apart with no allocator header
+//! and the lock is rare. A class's slabs grow geometrically from
+//! [`MIN_SLAB`] to [`HUGE_SLAB`]; each 2 MiB slab is 2 MiB-aligned, and
+//! once a class holds [`HUGE_ADVICE_FROM`] its further slabs are
+//! advised `MADV_HUGEPAGE` on Linux, so one TLB entry covers 2 MiB of
+//! tree instead of 4 KiB — a big tree's descents stop paying a TLB miss
+//! per level. (Elsewhere, or with transparent huge pages off, the
+//! advice does nothing and only the packing remains.) Only a layout
+//! that could not get a spillover slot allocates block by block.
 //!
 //! # Why this is sound
 //!
-//! * Pool memory is allocated with `std::alloc::alloc(Layout::new::<T>())`
-//!   — exactly a `Box<T>` allocation — so every pointer handed out here
-//!   may still be released with `Box::from_raw` (tree teardown does).
+//! * A slab block never reaches the global allocator on its own: every
+//!   release path — including thread teardown, where the thread-local
+//!   pools are gone — returns it to a pool. Slabs are freed whole, by
+//!   [`trim`], only when every block carved from them is pooled.
 //! * Recycling obeys the same two-epoch rule as freeing: a block enters
 //!   a free list only when `defer_recycle` proves no pinned thread can
 //!   still reference it, so reuse introduces no ABA hazard that freeing
 //!   to `malloc` (which also reuses addresses) would not.
 //! * Free lists hold *raw memory*, not values: the destructor runs
-//!   before pooling ([`recycle_raw`]), and [`alloc`] writes a fresh
-//!   value before handing the block out.
+//!   before pooling ([`recycle_raw`], [`free_now`]), and [`alloc`]
+//!   writes a fresh value before handing the block out.
 //! * Blocks are shared across `T`s of identical size/alignment (e.g.
-//!   `Node<K, V>` for different small `K`/`V`), which the allocator
-//!   contract explicitly permits.
+//!   `Node<K, V>` for different small `K`/`V`); a block only ever holds
+//!   values of its class's layout.
 //!
 //! Local lists spill past [`LOCAL_CAP`] blocks; exiting threads hand
 //! their pools to the spillover so survivors inherit the warm memory.
 //! The pools retain their peak working set by design — [`trim`]
-//! releases everything back to the global allocator at workload
-//! boundaries. The `stats` feature adds process-global
-//! hit/miss/recycle counters ([`ArenaStats`]).
+//! returns the slabs whose blocks are all pooled to the global
+//! allocator at workload boundaries. The `stats` feature adds
+//! process-global hit/miss/recycle counters ([`ArenaStats`]).
 
 use std::alloc::{alloc as global_alloc, dealloc as global_dealloc, handle_alloc_error, Layout};
-use std::cell::RefCell;
+use std::cell::{RefCell, UnsafeCell};
 use std::marker::PhantomData;
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
-use std::sync::atomic::{AtomicPtr, AtomicUsize};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize};
 
 /// Split point for a thread's free list: past this, half the list is
 /// packaged into a [`Chunk`] and pushed onto the class's global
@@ -64,10 +79,80 @@ const CHUNK_BLOCKS: usize = 2048;
 /// Upper bound on pooled scan-stack buffers per thread.
 const MAX_STACK_BUFS: usize = 8;
 
-/// One layout class: a free list of uniform raw blocks.
+/// Blocks a thread carves from its class's shared slab per claim of the
+/// slab lock: the lock is then taken once per run, not once per block.
+const CARVE_RUN: usize = 64;
+
+/// A class's first slab. Each further slab doubles, up to
+/// [`HUGE_SLAB`], so a class that stays small maps little memory.
+const MIN_SLAB: usize = 64 << 10;
+
+/// The largest slab: one 2 MiB huge page, aligned to its size.
+const HUGE_SLAB: usize = 2 << 20;
+
+/// A class's 2 MiB slabs are advised `MADV_HUGEPAGE` once it already
+/// holds this much: a huge page is resident as soon as it is touched,
+/// so the newest, partly carved slab costs up to 2 MiB, which only a
+/// large class earns back in TLB reach.
+const HUGE_ADVICE_FROM: usize = 16 << 20;
+
+/// Alignment of the smaller slabs.
+const PAGE: usize = 4096;
+
+/// One layout class: a free list of uniform raw blocks, plus the
+/// uncarved rest of the run this thread last carved from the class's
+/// slab.
 struct Class {
     layout: Layout,
     free: Vec<*mut u8>,
+    /// Next block of the current run; valid while `run_left > 0`.
+    run: *mut u8,
+    run_left: usize,
+}
+
+impl Class {
+    /// A block for one allocation: the free list, then this thread's
+    /// run, then a spillover chunk, then a fresh run carved from the
+    /// shared slab.
+    fn take(&mut self) -> *mut u8 {
+        if let Some(raw) = self.free.pop() {
+            counters::hit();
+            return raw;
+        }
+        if self.run_left == 0 {
+            // Local miss: pull a spillover chunk before carving — this
+            // is what rebalances bursts of ripe garbage from the
+            // collecting thread to the allocating ones.
+            let global = global_class(self.layout);
+            if let Some(refill) = global.and_then(GlobalClass::pop_blocks) {
+                self.free = refill;
+                if let Some(raw) = self.free.pop() {
+                    counters::hit();
+                    return raw;
+                }
+            }
+            let Some(g) = global else {
+                counters::miss();
+                return fresh_block(self.layout);
+            };
+            (self.run, self.run_left) = g.with_slabs(|s| s.carve(self.layout, CARVE_RUN));
+        }
+        counters::miss();
+        let raw = self.run;
+        self.run = raw.wrapping_add(self.layout.size());
+        self.run_left -= 1;
+        raw
+    }
+
+    /// Take every block this thread holds for the class: the free list
+    /// and the rest of the run.
+    fn drain(&mut self) -> Vec<*mut u8> {
+        let mut blocks = std::mem::take(&mut self.free);
+        let size = self.layout.size();
+        blocks.extend((0..self.run_left).map(|i| self.run.wrapping_add(i * size)));
+        self.run_left = 0;
+        blocks
+    }
 }
 
 /// A thread's pools: a handful of layout classes (one per concrete
@@ -87,6 +172,8 @@ impl Pools {
                 self.classes.push(Class {
                     layout,
                     free: Vec::new(),
+                    run: std::ptr::null_mut(),
+                    run_left: 0,
                 });
                 self.classes.len() - 1
             }
@@ -99,22 +186,11 @@ impl Drop for Pools {
     fn drop(&mut self) {
         // Thread exit: hand every pooled block to the global spillover
         // so surviving threads inherit the warm memory (benchmark
-        // drivers respawn worker threads constantly). Classes whose
-        // global slot could not be claimed fall back to deallocation.
+        // drivers respawn worker threads constantly).
         for c in &mut self.classes {
-            let blocks = std::mem::take(&mut c.free);
-            if blocks.is_empty() {
-                continue;
-            }
-            match global_class(c.layout) {
-                Some(g) => g.push_chunk(blocks),
-                None => {
-                    for p in blocks {
-                        // SAFETY: pooled blocks were allocated with
-                        // exactly this layout (classes are keyed by it).
-                        unsafe { global_dealloc(p, c.layout) };
-                    }
-                }
+            let blocks = c.drain();
+            if !blocks.is_empty() {
+                return_blocks(c.layout, blocks);
             }
         }
     }
@@ -132,7 +208,7 @@ thread_local! {
 }
 
 // ---------------------------------------------------------------------------
-// Global spillover (second pool level)
+// Global spillover (second pool level) and the shared slabs
 // ---------------------------------------------------------------------------
 
 /// A batch of free blocks travelling between threads on a class's
@@ -142,7 +218,8 @@ struct Chunk {
     blocks: Vec<*mut u8>,
 }
 
-/// Global side of one layout class: a Treiber stack of [`Chunk`]s.
+/// Global side of one layout class: a Treiber stack of [`Chunk`]s, and
+/// the slabs its blocks are carved from.
 ///
 /// Pops take the *entire* stack with one `swap(null)` — the popper then
 /// owns every node outright, so there is no ABA window and no
@@ -154,7 +231,132 @@ struct GlobalClass {
     size: AtomicUsize,
     align: AtomicUsize,
     head: AtomicPtr<Chunk>,
+    /// Spin lock over `slabs`: held for one carve or one trim.
+    carving: AtomicBool,
+    slabs: UnsafeCell<Slabs>,
 }
+
+/// The slabs of one class. Blocks are carved in address order from the
+/// newest slab; older slabs are fully carved.
+struct Slabs {
+    /// Every live slab, oldest first.
+    mapped: Vec<Slab>,
+    /// Next uncarved block of the newest slab, and how many whole
+    /// blocks it has left.
+    cursor: *mut u8,
+    left: usize,
+    /// Size of the next slab to map.
+    next_bytes: usize,
+    /// Blocks carved over the process's life.
+    carved: u64,
+}
+
+#[derive(Clone, Copy)]
+struct Slab {
+    base: *mut u8,
+    layout: Layout,
+}
+
+impl Slabs {
+    const fn new() -> Self {
+        Slabs {
+            mapped: Vec::new(),
+            cursor: std::ptr::null_mut(),
+            left: 0,
+            next_bytes: MIN_SLAB,
+            carved: 0,
+        }
+    }
+
+    /// Carve up to `want` consecutive blocks (at least one), mapping a
+    /// new slab when the newest is used up.
+    fn carve(&mut self, layout: Layout, want: usize) -> (*mut u8, usize) {
+        if self.left == 0 {
+            self.map(layout);
+        }
+        let n = self.left.min(want);
+        let start = self.cursor;
+        self.cursor = start.wrapping_add(n * layout.size());
+        self.left -= n;
+        self.carved += n as u64;
+        (start, n)
+    }
+
+    fn map(&mut self, layout: Layout) {
+        let bytes = self.next_bytes.max(layout.size());
+        let align = if bytes >= HUGE_SLAB { HUGE_SLAB } else { PAGE }.max(layout.align());
+        let slab = Layout::from_size_align(bytes, align).expect("slab layouts are valid");
+        // SAFETY: non-zero size.
+        let base = unsafe { global_alloc(slab) };
+        if base.is_null() {
+            handle_alloc_error(slab);
+        }
+        let held: usize = self.mapped.iter().map(|s| s.layout.size()).sum();
+        if bytes >= HUGE_SLAB && held >= HUGE_ADVICE_FROM {
+            advise_huge_pages(base, bytes);
+        }
+        self.mapped.push(Slab { base, layout: slab });
+        self.cursor = base;
+        self.left = bytes / layout.size();
+        self.next_bytes = (bytes * 2).min(HUGE_SLAB);
+    }
+
+    /// Unregister every slab all of whose carved blocks are in
+    /// `pooled` (sorted by address) and return them.
+    fn release_pooled(&mut self, size: usize, pooled: &[*mut u8]) -> Vec<Slab> {
+        // Only the newest slab can be partly carved, and only while
+        // the cursor is live.
+        let newest = self
+            .mapped
+            .last()
+            .map(|s| s.base)
+            .filter(|_| !self.cursor.is_null());
+        let cursor = self.cursor;
+        let mut freed = Vec::new();
+        self.mapped.retain(|slab| {
+            let carved_end = if Some(slab.base) == newest {
+                cursor
+            } else {
+                slab.base.wrapping_add(slab.layout.size() / size * size)
+            };
+            let inside = pooled.partition_point(|&p| p < carved_end)
+                - pooled.partition_point(|&p| p < slab.base);
+            let all_pooled = inside == (carved_end as usize - slab.base as usize) / size;
+            if all_pooled {
+                freed.push(*slab);
+            }
+            !all_pooled
+        });
+        if newest.is_some() && self.mapped.last().map(|s| s.base) != newest {
+            // The newest slab went: the next carve maps a fresh one.
+            self.cursor = std::ptr::null_mut();
+            self.left = 0;
+        }
+        if self.mapped.is_empty() {
+            self.next_bytes = MIN_SLAB;
+        }
+        freed
+    }
+}
+
+/// Ask the kernel to back `[base, base + len)` with transparent huge
+/// pages. Advice only: if huge pages are off or the call fails, the
+/// slab keeps working on base pages.
+#[cfg(target_os = "linux")]
+fn advise_huge_pages(base: *mut u8, len: usize) {
+    use std::ffi::{c_int, c_void};
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    const MADV_HUGEPAGE: c_int = 14;
+    // SAFETY: `[base, base + len)` is a page-aligned allocation this
+    // module owns; MADV_HUGEPAGE changes neither its contents nor its
+    // protection.
+    unsafe { madvise(base.cast(), len, MADV_HUGEPAGE) };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn advise_huge_pages(_base: *mut u8, _len: usize) {}
 
 impl GlobalClass {
     const fn new() -> Self {
@@ -163,7 +365,15 @@ impl GlobalClass {
             size: AtomicUsize::new(0),
             align: AtomicUsize::new(0),
             head: AtomicPtr::new(std::ptr::null_mut()),
+            carving: AtomicBool::new(false),
+            slabs: UnsafeCell::new(Slabs::new()),
         }
+    }
+
+    /// The layout of a ready (`state == 2`) slot.
+    fn layout(&self) -> Layout {
+        Layout::from_size_align(self.size.load(Relaxed), self.align.load(Relaxed))
+            .expect("registered class layouts are valid")
     }
 
     fn push_chunk(&self, blocks: Vec<*mut u8>) {
@@ -188,6 +398,11 @@ impl GlobalClass {
 
     /// Take one chunk's worth of blocks, re-pushing any surplus chunks.
     fn pop_blocks(&self) -> Option<Vec<*mut u8>> {
+        // A plain load first: an empty stack costs no cache-line
+        // ownership (carving threads find it empty on every run).
+        if self.head.load(Relaxed).is_null() {
+            return None;
+        }
         // Acquire pairs with the push's Release; after the swap the
         // whole chain is exclusively ours.
         let mut head = self.head.swap(std::ptr::null_mut(), AcqRel);
@@ -204,16 +419,57 @@ impl GlobalClass {
         }
         Some(first.blocks)
     }
+
+    /// Run `f` on the slabs under the spin lock.
+    fn with_slabs<R>(&self, f: impl FnOnce(&mut Slabs) -> R) -> R {
+        // Acquire/Release: each holder sees the previous holder's
+        // writes to `slabs`.
+        while self
+            .carving
+            .compare_exchange_weak(false, true, Acquire, Relaxed)
+            .is_err()
+        {
+            std::hint::spin_loop();
+        }
+        // SAFETY: the flag grants exclusive access until it is cleared.
+        let r = f(unsafe { &mut *self.slabs.get() });
+        self.carving.store(false, Release);
+        r
+    }
+
+    /// Free every slab whose carved blocks are all in `pooled` — blocks
+    /// the caller owns — and push the rest of `pooled` back onto the
+    /// spillover.
+    fn trim(&self, mut pooled: Vec<*mut u8>) {
+        pooled.sort_unstable();
+        let size = self.layout().size();
+        let mut freed = self.with_slabs(|s| s.release_pooled(size, &pooled));
+        freed.sort_unstable_by_key(|s| s.base);
+        pooled.retain(|&p| {
+            let i = freed.partition_point(|s| s.base <= p);
+            i == 0 || p >= freed[i - 1].base.wrapping_add(freed[i - 1].layout.size())
+        });
+        for blocks in pooled.chunks(CHUNK_BLOCKS) {
+            self.push_chunk(blocks.to_vec());
+        }
+        for slab in freed {
+            // SAFETY: allocated with exactly this layout in `map`, and
+            // every block carved from it was in `pooled`, which the
+            // caller owned: nothing else can reach the slab.
+            unsafe { global_dealloc(slab.base, slab.layout) };
+        }
+    }
 }
 
-// SAFETY: the raw pointers inside are either atomics or owned blocks
-// whose cross-thread hand-off is exactly what this type mediates.
+// SAFETY: the raw pointers inside are either atomics, owned blocks
+// whose cross-thread hand-off is exactly what this type mediates, or
+// `slabs`, which only the holder of the `carving` spin lock touches.
 unsafe impl Sync for GlobalClass {}
 
 /// Fixed global registry of spillover classes (a process uses a couple
 /// of `Node`/`Info` layouts; 16 slots is generous). Lock-free: slots
 /// are claimed with a 0→1→2 state CAS; a full registry just means that
-/// layout degrades to thread-local pooling.
+/// layout degrades to thread-local pooling over per-block allocation.
 static GLOBAL_CLASSES: [GlobalClass; 16] = [const { GlobalClass::new() }; 16];
 
 fn global_class(layout: Layout) -> Option<&'static GlobalClass> {
@@ -251,49 +507,64 @@ fn global_class(layout: Layout) -> Option<&'static GlobalClass> {
     None
 }
 
+/// The ready slots of the registry.
+fn registered_classes() -> impl Iterator<Item = &'static GlobalClass> {
+    GLOBAL_CLASSES
+        .iter()
+        .filter(|slot| slot.state.load(Acquire) == 2)
+}
+
+/// One block straight from the global allocator: only for a layout
+/// without a spillover slot (full registry), whose blocks are never
+/// carved.
+fn fresh_block(layout: Layout) -> *mut u8 {
+    // SAFETY: `alloc` asserts a non-zero size.
+    let raw = unsafe { global_alloc(layout) };
+    if raw.is_null() {
+        handle_alloc_error(layout);
+    }
+    raw
+}
+
+/// Return pooled blocks that no thread-local list will take: to the
+/// class's spillover, or — for a layout without one, whose blocks came
+/// from the global allocator one by one — to the allocator.
+fn return_blocks(layout: Layout, blocks: Vec<*mut u8>) {
+    match global_class(layout) {
+        Some(g) => g.push_chunk(blocks),
+        None => {
+            for p in blocks {
+                // SAFETY: without a slot the class never carves, so
+                // each block was allocated alone with `layout`.
+                unsafe { global_dealloc(p, layout) };
+            }
+        }
+    }
+}
+
 /// Allocate a `T` from the current thread's pool — refilled from the
-/// class's global spillover on a miss, global allocator as the final
-/// fallback — and initialize it with `value`. The returned pointer is
-/// `Box`-compatible: it may be released with `Box::from_raw`,
-/// [`free_now`], or retired through `defer_recycle` + [`recycle_raw`].
+/// class's global spillover on a miss, carved from the class's slab as
+/// the final fallback — and initialize it with `value`. Release the
+/// block with [`free_now`] or retire it through `defer_recycle` +
+/// [`recycle_raw`]; never with `Box::from_raw` or the global allocator.
 pub(crate) fn alloc<T>(value: T) -> *mut T {
     let layout = Layout::new::<T>();
     debug_assert!(layout.size() > 0, "arena does not pool ZSTs");
     // `try_with` so reclamation running during thread teardown (after
-    // this TLS slot is gone) degrades to the global allocator.
-    let pooled = POOLS
-        .try_with(|p| {
-            let mut p = p.borrow_mut();
-            let class = p.class_mut(layout);
-            if let Some(raw) = class.free.pop() {
-                return Some(raw);
-            }
-            // Local miss: pull a spillover chunk before giving up —
-            // this is what rebalances bursts of ripe garbage from the
-            // collecting thread to the allocating ones.
-            let refill = global_class(layout).and_then(GlobalClass::pop_blocks)?;
-            let class = p.class_mut(layout);
-            class.free = refill;
-            class.free.pop()
-        })
-        .ok()
-        .flatten();
-    let ptr = match pooled {
-        Some(raw) => {
-            counters::hit();
-            raw as *mut T
-        }
-        None => {
+    // this TLS slot is gone) still gets a block: carving from the
+    // shared slab needs no thread-local state.
+    let raw = POOLS
+        .try_with(|p| p.borrow_mut().class_mut(layout).take())
+        .unwrap_or_else(|_| {
             counters::miss();
-            // SAFETY: non-zero size asserted above.
-            let raw = unsafe { global_alloc(layout) };
-            if raw.is_null() {
-                handle_alloc_error(layout);
+            match global_class(layout) {
+                Some(g) => g.with_slabs(|s| s.carve(layout, 1)).0,
+                None => fresh_block(layout),
             }
-            raw as *mut T
-        }
-    };
-    // SAFETY: freshly allocated, properly aligned, uninitialized block.
+        });
+    let ptr = raw as *mut T;
+    // SAFETY: an exclusively owned, properly aligned, uninitialized
+    // block of `T`'s layout.
     unsafe { ptr.write(value) };
     ptr
 }
@@ -314,9 +585,9 @@ pub(crate) fn free_now<T>(ptr: *mut T) {
 ///
 /// # Safety
 ///
-/// `ptr` must be a live, exclusively-owned allocation of `T` compatible
-/// with `Layout::new::<T>()` (the epoch collector guarantees exclusivity
-/// when it runs ripe bags).
+/// `ptr` must be a live, exclusively-owned allocation of `T` from
+/// [`alloc`] (the epoch collector guarantees exclusivity when it runs
+/// ripe bags).
 pub(crate) unsafe fn recycle_raw<T>(ptr: *mut T) {
     // Destructor first: it may itself allocate or defer, so it must run
     // outside the pool borrow.
@@ -328,12 +599,12 @@ pub(crate) unsafe fn recycle_raw<T>(ptr: *mut T) {
 
 /// Pool a raw block. When the thread's free list passes [`LOCAL_CAP`],
 /// half of it spills to the class's global stack (other threads pull it
-/// back on their misses); the global allocator is touched only when the
-/// thread is mid-teardown or the class registry is full.
+/// back on their misses); mid-teardown, the block goes straight to the
+/// spillover.
 ///
 /// # Safety
 ///
-/// `raw` must have been allocated with `layout` and be exclusively owned.
+/// `raw` must come from [`alloc`] with `layout` and be exclusively owned.
 unsafe fn release(raw: *mut u8, layout: Layout) {
     let pooled = POOLS
         .try_with(|p| {
@@ -342,23 +613,14 @@ unsafe fn release(raw: *mut u8, layout: Layout) {
             class.free.push(raw);
             if class.free.len() >= LOCAL_CAP {
                 let spill: Vec<*mut u8> = class.free.split_off(class.free.len() - CHUNK_BLOCKS);
-                match global_class(layout) {
-                    Some(g) => g.push_chunk(spill),
-                    None => {
-                        for p in spill {
-                            // SAFETY: allocated with `layout` (class key).
-                            unsafe { global_dealloc(p, layout) };
-                        }
-                    }
-                }
+                return_blocks(layout, spill);
             }
         })
         .is_ok();
     if pooled {
         counters::recycled(layout.size() as u64);
     } else {
-        // SAFETY: allocated with `layout` per this function's contract.
-        unsafe { global_dealloc(raw, layout) };
+        return_blocks(layout, vec![raw]);
     }
 }
 
@@ -442,9 +704,10 @@ impl<T> Drop for ScanStack<T> {
 /// `pnb_bst` re-export that exists with the `stats` feature).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
-    /// Allocations served from a thread-local free list.
+    /// Allocations served from a thread-local free list or a spillover
+    /// chunk: reused blocks.
     pub pool_hits: u64,
-    /// Allocations that fell back to the global allocator.
+    /// Allocations that took a fresh block, carved from a slab.
     pub pool_misses: u64,
     /// Bytes returned to thread-local free lists by the collector.
     pub recycled_bytes: u64,
@@ -482,41 +745,61 @@ mod counters {
     pub(super) fn recycled(_bytes: u64) {}
 }
 
-/// Release every block pooled by *this thread* and by the global
-/// spillover stacks back to the global allocator.
+/// Return memory to the global allocator: every slab all of whose
+/// blocks are pooled by *this thread* or in the global spillover is
+/// freed. Blocks of slabs that are still partly in use — by live
+/// structures, or pooled by other threads — stay pooled. A class left
+/// with no slabs starts growing again from the smallest slab.
 ///
 /// The pools deliberately retain their peak working set (that is what
 /// makes warm updates allocation-free), which also means that memory is
 /// invisible to the rest of the process until trimmed. Call this at
 /// workload boundaries — e.g. between structures in a benchmark
-/// harness, or after tearing down the last tree — when the retained
-/// footprint matters more than the next tree's warm-up.
+/// harness, after tearing down the last tree and draining the collector
+/// — when the retained footprint matters more than the next tree's
+/// warm-up.
 pub fn trim() {
-    let _ = POOLS.try_with(|p| {
-        let mut p = p.borrow_mut();
-        for c in &mut p.classes {
-            for blk in c.free.drain(..) {
-                // SAFETY: pooled blocks were allocated with exactly the
-                // class layout.
-                unsafe { global_dealloc(blk, c.layout) };
-            }
-        }
-        p.stacks.clear();
-    });
-    for slot in &GLOBAL_CLASSES {
-        if slot.state.load(Acquire) != 2 {
-            continue;
-        }
-        let layout = Layout::from_size_align(slot.size.load(Relaxed), slot.align.load(Relaxed))
-            .expect("registered class layouts are valid");
+    let mut local: Vec<(Layout, Vec<*mut u8>)> = POOLS
+        .try_with(|p| {
+            let mut p = p.borrow_mut();
+            p.stacks.clear();
+            p.classes
+                .iter_mut()
+                .map(|c| (c.layout, c.drain()))
+                .collect()
+        })
+        .unwrap_or_default();
+    for slot in registered_classes() {
+        let layout = slot.layout();
+        let mut pooled = match local.iter().position(|(l, _)| *l == layout) {
+            Some(i) => local.swap_remove(i).1,
+            None => Vec::new(),
+        };
         while let Some(blocks) = slot.pop_blocks() {
-            for blk in blocks {
-                // SAFETY: spillover blocks were allocated with the
-                // class layout.
-                unsafe { global_dealloc(blk, layout) };
-            }
+            pooled.extend(blocks);
         }
+        slot.trim(pooled);
     }
+    // What is left belongs to layouts without a slot: per-block memory.
+    for (layout, blocks) in local {
+        return_blocks(layout, blocks);
+    }
+}
+
+/// Bytes currently held in slabs, over all classes.
+#[cfg(feature = "testing-internals")]
+pub(crate) fn slab_bytes() -> usize {
+    registered_classes()
+        .map(|g| g.with_slabs(|s| s.mapped.iter().map(|sl| sl.layout.size()).sum::<usize>()))
+        .sum()
+}
+
+/// Blocks carved from slabs over the process's life, over all classes.
+#[cfg(feature = "testing-internals")]
+pub(crate) fn carved_blocks() -> u64 {
+    registered_classes()
+        .map(|g| g.with_slabs(|s| s.carved))
+        .sum()
 }
 
 /// Read the process-global arena counters (monotone; assert on deltas).
@@ -533,6 +816,8 @@ pub fn arena_stats() -> ArenaStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Node;
+    use crate::PnbBst;
 
     #[test]
     fn alloc_free_now_reuses_the_block() {
@@ -564,15 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn box_from_raw_is_compatible_with_pool_blocks() {
-        // Tree teardown releases current-tree nodes with Box::from_raw,
-        // whether they came from the pool or not.
-        let p = alloc(vec![1u8, 2, 3]);
-        let b = unsafe { Box::from_raw(p) };
-        assert_eq!(*b, vec![1, 2, 3]);
-    }
-
-    #[test]
     fn distinct_layouts_use_distinct_classes() {
         let a = alloc(1u64);
         let b = alloc([1u128; 4]);
@@ -581,6 +857,149 @@ mod tests {
         let b2 = alloc([2u128; 4]);
         assert_eq!(b2, b, "16-align class must not be served the u64 block");
         free_now(b2);
+    }
+
+    #[test]
+    fn consecutive_carves_are_packed_and_huge_slabs_are_aligned() {
+        type N = Node<u64, u64>;
+        let layout = Layout::new::<N>();
+        let size = std::mem::size_of::<N>();
+        // A private slab set, so no concurrent test carves in between.
+        let mut slabs = Slabs::new();
+        let mut blocks = Vec::new();
+        // 64 KiB .. 1 MiB, then two 2 MiB slabs.
+        while slabs.mapped.len() < 7 {
+            let (start, n) = slabs.carve(layout, CARVE_RUN);
+            assert!(n >= 1);
+            blocks.extend((0..n).map(|i| start.wrapping_add(i * size)));
+        }
+        let sizes: Vec<usize> = slabs.mapped.iter().map(|s| s.layout.size()).collect();
+        assert_eq!(
+            sizes,
+            [64, 128, 256, 512, 1024, 2048, 2048].map(|k| k << 10)
+        );
+        for slab in &slabs.mapped {
+            if slab.layout.size() == HUGE_SLAB {
+                assert_eq!(
+                    slab.base as usize % HUGE_SLAB,
+                    0,
+                    "2 MiB slabs are 2 MiB-aligned"
+                );
+            }
+        }
+        // Within a slab, each carve continues where the previous one
+        // ended: block k sits exactly k * size_of past the slab's base.
+        let mut k = 0;
+        let mut slab = blocks[0];
+        for w in blocks.windows(2) {
+            if w[1] == w[0].wrapping_add(size) {
+                k += 1;
+                assert_eq!(w[1], slab.wrapping_add(k * size));
+            } else {
+                assert!(
+                    slabs.mapped.iter().any(|s| s.base == w[1]),
+                    "a gap only at a new slab"
+                );
+                slab = w[1];
+                k = 0;
+            }
+        }
+        assert_eq!(slabs.carved, blocks.len() as u64);
+
+        // Trim's rule: a slab goes only when all its carved blocks are
+        // pooled. Hold back one block of the 64 KiB slab...
+        blocks.sort_unstable();
+        let first = slabs.mapped[0].base;
+        let held = blocks.iter().position(|&b| b == first).unwrap();
+        let mut pooled = blocks.clone();
+        pooled.remove(held);
+        let freed = slabs.release_pooled(size, &pooled);
+        assert_eq!(freed.len(), 6);
+        assert_eq!(slabs.mapped.len(), 1);
+        assert_eq!(
+            slabs.left, 0,
+            "the newest slab went, so the cursor is reset"
+        );
+        assert_eq!(
+            slabs.next_bytes, HUGE_SLAB,
+            "growth resets only when no slab is left"
+        );
+        // ...then pool it with the rest of its slab (trim pushes the
+        // unreleased blocks back to the spillover and meets them again).
+        let first_slab: Vec<*mut u8> = blocks
+            .iter()
+            .copied()
+            .filter(|&b| b >= first && b < first.wrapping_add(MIN_SLAB))
+            .collect();
+        let last = slabs.release_pooled(size, &first_slab);
+        assert_eq!(last.len(), 1);
+        assert!(slabs.mapped.is_empty());
+        assert_eq!(slabs.next_bytes, MIN_SLAB);
+        for s in freed.into_iter().chain(last) {
+            // SAFETY: mapped by `slabs` with this layout; the blocks
+            // above are never dereferenced.
+            unsafe { global_dealloc(s.base, s.layout) };
+        }
+    }
+
+    /// Bytes in the slabs of `layout`'s class.
+    fn class_slab_bytes(layout: Layout) -> usize {
+        global_class(layout)
+            .expect("registry has room")
+            .with_slabs(|s| s.mapped.iter().map(|sl| sl.layout.size()).sum())
+    }
+
+    #[test]
+    fn from_sorted_tree_drops_through_the_arena() {
+        // A value type no other test uses gives the nodes a class of
+        // their own.
+        type V = [u64; 9];
+        let layout = Layout::new::<Node<u64, V>>();
+        let pooled_here = || {
+            POOLS.with(|p| {
+                let mut p = p.borrow_mut();
+                let c = p.class_mut(layout);
+                c.free.len() + c.run_left
+            })
+        };
+        let tree = PnbBst::<u64, V>::from_sorted((0..100).map(|k| (k, [k; 9])).collect());
+        assert_eq!(tree.check_invariants(), 100);
+        assert!(class_slab_bytes(layout) > 0, "nodes are carved from slabs");
+        let before = pooled_here();
+        drop(tree);
+        // 100 leaves, 99 internals, two sentinel leaves, the ∞₁ internal
+        // and the root: every one back in this thread's pool.
+        assert_eq!(pooled_here() - before, 203);
+    }
+
+    #[test]
+    fn trim_releases_every_slab_of_dropped_trees() {
+        type V = [u64; 11];
+        let layout = Layout::new::<Node<u64, V>>();
+        let tree = PnbBst::<u64, V>::from_sorted((0..20_000).map(|k| (k, [k; 11])).collect());
+        assert!(class_slab_bytes(layout) > 2 * HUGE_SLAB);
+        drop(tree);
+        crate::collector_drain(4);
+        trim();
+        assert_eq!(
+            class_slab_bytes(layout),
+            0,
+            "every block was pooled, so every slab goes"
+        );
+
+        // The class starts over from the smallest slab, and works.
+        let tree = PnbBst::<u64, V>::new();
+        for k in 0..1_000 {
+            assert!(tree.insert(k, [k; 11]));
+        }
+        assert_eq!(tree.get(&999), Some([999; 11]));
+        assert_eq!(tree.check_invariants(), 1_000);
+        assert_eq!(
+            global_class(layout)
+                .unwrap()
+                .with_slabs(|s| s.mapped[0].layout.size()),
+            MIN_SLAB
+        );
     }
 
     #[test]

@@ -100,7 +100,9 @@
 //! per-thread free list that the epoch collector itself refills (ripe
 //! garbage is *recycled* into pools rather than freed), so steady-state
 //! update loops bypass the global allocator and read-only operations
-//! never allocate at all (`DESIGN.md` §3.5).
+//! never allocate at all. Fresh blocks are carved from per-class slabs
+//! shared by all threads; a large class's slabs are huge-page-advised
+//! on Linux (`DESIGN.md` §3.5).
 //!
 //! ## Feature flags
 //!
@@ -175,7 +177,7 @@ pub use arena::{trim as arena_trim, ArenaStats};
 /// bag (recycling its memory into the arena pools), which is what
 /// measurement harnesses need at workload boundaries so that one
 /// structure's deferred garbage is not attributed to the next
-/// ([`arena_trim`] then releases the pooled footprint itself).
+/// ([`arena_trim`] then frees the slabs whose blocks are all pooled).
 pub fn collector_drain(passes: usize) {
     for _ in 0..passes {
         crossbeam_epoch::pin().flush();

@@ -183,12 +183,26 @@ impl<K, V> Drop for PausedUpdate<'_, K, V> {
     }
 }
 
+/// Bytes the arena currently holds in slabs, over all layout classes.
+/// [`crate::arena_trim`] brings it back to zero once every block is
+/// pooled on the calling thread or in the global spillover.
+pub fn arena_slab_bytes() -> usize {
+    crate::arena::slab_bytes()
+}
+
+/// Blocks the arena has carved from slabs over the process's life, over
+/// all layout classes: the fresh memory pool misses took (monotone;
+/// assert on deltas).
+pub fn arena_carved_blocks() -> u64 {
+    crate::arena::carved_blocks()
+}
+
 /// A counting wrapper around the system allocator, for asserting the
 /// arena's steady-state behaviour (see `tests/alloc_steady_state.rs`):
 /// install it with `#[global_allocator]` in a test binary and diff
 /// [`allocations`](CountingAllocator::allocations) around the region
 /// under test. Read paths must show a delta of zero; warm update loops
-/// must drop to the pool-miss fallback.
+/// must stay far below a cold loop.
 pub struct CountingAllocator {
     allocs: std::sync::atomic::AtomicU64,
     bytes: std::sync::atomic::AtomicU64,

@@ -116,29 +116,19 @@ where
     /// Create an empty tree: a root with key `∞₂` whose children are the
     /// sentinel leaves `∞₁` and `∞₂` (paper Figure 2, lines 28–31).
     pub fn new() -> Self {
-        let dummy: InfoPtr<K, V> = Box::into_raw(Box::new(Info::dummy()));
-        let left: NodePtr<K, V> = Box::into_raw(Box::new(Node::leaf(
-            SKey::Inf1,
-            None,
-            0,
-            std::ptr::null(),
-            dummy,
-        )));
-        let right: NodePtr<K, V> = Box::into_raw(Box::new(Node::leaf(
-            SKey::Inf2,
-            None,
-            0,
-            std::ptr::null(),
-            dummy,
-        )));
-        let root: NodePtr<K, V> = Box::into_raw(Box::new(Node::internal(
+        let dummy: InfoPtr<K, V> = arena::alloc(Info::dummy());
+        let left: NodePtr<K, V> =
+            arena::alloc(Node::leaf(SKey::Inf1, None, 0, std::ptr::null(), dummy));
+        let right: NodePtr<K, V> =
+            arena::alloc(Node::leaf(SKey::Inf2, None, 0, std::ptr::null(), dummy));
+        let root: NodePtr<K, V> = arena::alloc(Node::internal(
             SKey::Inf2,
             0,
             std::ptr::null(),
             left,
             right,
             dummy,
-        )));
+        ));
         PnbBst {
             root,
             counter: CachePadded::new(AtomicU64::new(0)),
@@ -674,16 +664,16 @@ impl<K, V> Drop for PnbBst<K, V> {
                         "live node references a retired Info"
                     );
                     if i.refs.fetch_sub(1, Relaxed) == 1 {
-                        drop(Box::from_raw(info as *mut Info<K, V>));
+                        arena::free_now(info as *mut Info<K, V>);
                     }
                 }
                 if !node.leaf {
                     stack.push(node.child_word(true).load(Relaxed, guard).as_raw());
                     stack.push(node.child_word(false).load(Relaxed, guard).as_raw());
                 }
-                drop(Box::from_raw(ptr as *mut Node<K, V>));
+                arena::free_now(ptr as *mut Node<K, V>);
             }
-            drop(Box::from_raw(self.dummy as *mut Info<K, V>));
+            arena::free_now(self.dummy as *mut Info<K, V>);
         }
     }
 }

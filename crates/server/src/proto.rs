@@ -305,8 +305,8 @@ pub enum BatchSubOp {
     /// decoder flags malformed again (sub-opcode `0xFF`), so it is not
     /// bit-roundtrippable — it exists to carry the error, not to travel.
     Malformed {
-        /// The per-sub-op status to answer with ([`BadOpcode`]
-        /// (StatusCode::BadOpcode) or
+        /// The per-sub-op status to answer with
+        /// ([`BadOpcode`](StatusCode::BadOpcode) or
         /// [`BadPayload`](StatusCode::BadPayload)).
         code: StatusCode,
         /// Human-readable diagnostic.

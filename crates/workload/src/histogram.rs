@@ -1,15 +1,15 @@
 //! HDR-style log-linear latency histogram with per-thread sharding.
 //!
-//! The old [`LatencyHistogram`](crate::LatencyHistogram) used one-octave
-//! (power-of-two) buckets: cheap, but its resolution is a factor of two,
-//! so p99 and p999 frequently collapse into the same bucket and any
-//! reported percentile can overestimate by up to 2×. This module is the
-//! replacement for all new measurement code: the classic HdrHistogram
-//! bucket layout (Gil Tene's design, as used by `hdrhistogram` and
-//! cql-stress) — logarithmic *buckets*, each subdivided into 64 linear
-//! *sub-buckets* — giving a guaranteed relative error of at most 1/64
-//! (≈1.6%, i.e. ~2 significant digits) at every magnitude from 1 ns to
-//! beyond 2⁶³ ns, in a fixed 3 776-slot table (~30 KiB).
+//! One-octave (power-of-two) buckets are cheap, but their resolution is
+//! a factor of two, so p99 and p999 frequently collapse into the same
+//! bucket and any reported percentile can overestimate by up to 2×.
+//! This module is the workspace's one latency histogram: the classic
+//! HdrHistogram bucket layout (Gil Tene's design, as used by
+//! `hdrhistogram` and cql-stress) — logarithmic *buckets*, each
+//! subdivided into 64 linear *sub-buckets* — giving a guaranteed
+//! relative error of at most 1/64 (≈1.6%, i.e. ~2 significant digits)
+//! at every magnitude from 1 ns to beyond 2⁶³ ns, in a fixed 3 776-slot
+//! table (~30 KiB).
 //!
 //! Recording is an index computation plus one increment, cheap enough
 //! for per-operation use on the open-loop hot path. Each worker thread
@@ -346,7 +346,7 @@ mod tests {
 
     #[test]
     fn p99_and_p999_distinguish_within_one_octave() {
-        // The one-octave histogram collapsed these to the same bucket;
+        // One-octave buckets would collapse these into the same bucket;
         // the log-linear layout must keep them apart.
         let mut h = HdrHistogram::new();
         for i in 0..1_000u64 {

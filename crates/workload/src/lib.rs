@@ -46,7 +46,7 @@ pub use batch::{
 };
 pub use dist::{KeyDist, ScrambledZipf, Sequential, Zipf};
 pub use histogram::{HdrHistogram, ShardedHistogram};
-pub use latency::{run_latency, LatencyHistogram, LatencyReport};
+pub use latency::{run_latency, LatencyReport};
 pub use mix::{Mix, Op};
 pub use runner::{
     disjoint_slices, prefill, run_fixed_ops, run_scan_updater, run_throughput, Measurement,

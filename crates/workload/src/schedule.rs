@@ -757,6 +757,74 @@ mod tests {
         }
     }
 
+    /// A map whose every tenth `get` sleeps 1 ms and the rest return at
+    /// once: a deliberately spread latency distribution.
+    struct SpreadMap;
+    struct SpreadSession(u64);
+    impl MapSession for SpreadSession {
+        fn insert(&mut self, _: u64, _: u64) -> bool {
+            true
+        }
+        fn upsert(&mut self, _: u64, _: u64) -> Option<u64> {
+            None
+        }
+        fn delete(&mut self, _: &u64) -> bool {
+            false
+        }
+        fn get(&mut self, _: &u64) -> Option<u64> {
+            self.0 += 1;
+            if self.0.is_multiple_of(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            None
+        }
+        fn range_scan(&mut self, _: &u64, _: &u64) -> usize {
+            0
+        }
+    }
+    impl ConcurrentMap for SpreadMap {
+        type Session<'a> = SpreadSession;
+        fn pin(&self) -> SpreadSession {
+            SpreadSession(0)
+        }
+        fn capabilities(&self) -> Caps {
+            Caps::all()
+        }
+        fn name(&self) -> &'static str {
+            "spread-map"
+        }
+    }
+
+    #[test]
+    fn open_loop_quantiles_separate_on_spread_latencies() {
+        // 90% of finds are near-instant and 10% take >= 1 ms. Arrivals
+        // are 4 ms apart, so a slow find delays no later one: the median
+        // is fast and the p99 is slow. A percent passed where a fraction
+        // belongs would report the max for both.
+        let cfg = OpenLoopConfig {
+            threads: 1,
+            target_rate: 250.0,
+            duration: Duration::from_millis(400),
+            key_dist: KeyDist::uniform(64),
+            mix: Mix::new(0, 0, 100, 0, 0),
+            prefill_fraction: 0.0,
+            seed: 5,
+            interval_log: None,
+        };
+        let m = run_open_loop(&SpreadMap, &cfg).expect("caps cover the mix");
+        let find = &m.classes[0];
+        assert_eq!(find.class, "find");
+        assert!(
+            find.p50_ns < find.p99_ns && find.p99_ns <= find.max_ns,
+            "p50 {} p99 {} max {}",
+            find.p50_ns,
+            find.p99_ns,
+            find.max_ns
+        );
+        assert!(find.p50_ns < 1_000_000, "median find must be fast");
+        assert!(find.p99_ns >= 1_000_000, "p99 must land on a slow find");
+    }
+
     #[test]
     fn interval_log_appends_per_interval_rows() {
         let dir = std::env::temp_dir();
