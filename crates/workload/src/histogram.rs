@@ -361,6 +361,46 @@ mod tests {
     }
 
     #[test]
+    fn bimodal_percentiles_land_in_their_modes() {
+        let mut h = HdrHistogram::new();
+        assert!(h.is_empty());
+        assert_eq!(h.value_at_percentile(0.5), None);
+        // 90 fast ops (100 ns) and 10 slow ones (1 ms).
+        for _ in 0..90 {
+            h.record_duration(std::time::Duration::from_nanos(100));
+        }
+        for _ in 0..10 {
+            h.record_duration(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(h.len(), 100);
+        let (p50, p99, p999) = h.summary();
+        assert_eq!(p50, 100, "p50 must sit in the exact low bucket");
+        for p in [p99, p999] {
+            assert!(
+                (1_000_000..=1_000_000 + 1_000_000 / 64 + 1).contains(&p),
+                "tail must sit in the slow mode: {p}"
+            );
+        }
+        // The 90th sample is the last fast one; the 91st is slow.
+        assert_eq!(h.value_at_percentile(0.90), Some(100));
+        assert!(h.value_at_percentile(0.91).unwrap() >= 1_000_000);
+    }
+
+    #[test]
+    fn extreme_durations_stay_in_range() {
+        let mut h = HdrHistogram::new();
+        h.record_duration(std::time::Duration::from_nanos(0));
+        h.record_duration(std::time::Duration::from_secs(40_000));
+        assert_eq!(h.len(), 2);
+        assert_eq!(h.min(), 0);
+        assert_eq!(h.value_at_percentile(0.0), Some(0));
+        // The top sample reports the recorded maximum, not a slot bound
+        // past it.
+        assert_eq!(h.value_at_percentile(1.0), Some(40_000_000_000_000));
+        assert_eq!(h.max(), 40_000_000_000_000);
+    }
+
+    #[test]
     fn merge_and_clear_round_trip() {
         let mut a = HdrHistogram::new();
         let mut b = HdrHistogram::new();
